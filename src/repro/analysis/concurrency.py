@@ -26,8 +26,11 @@ The rules:
 ========  =============================================================
 REP012    shared-state write outside any lock region: an attribute
           written with a lock held elsewhere in the module but bare
-          here ("inconsistently guarded"), or an unguarded augmented
-          assignment (read-modify-write) reachable from a multi root
+          here ("inconsistently guarded"), an unguarded augmented
+          assignment (read-modify-write) reachable from a multi root,
+          or a method dispatched on an element of a ``self`` container
+          (``for layer in self.layers: layer.forward(x)``) from a
+          multi-root path that writes attributes of that element
 REP013    lock-order cycle: ``with A: ... with B:`` in one code path
           and the reverse nesting in another (including acquisitions
           reached through calls made while holding a lock)
@@ -43,8 +46,11 @@ REP015    non-signal-safe work in a registered signal handler --
 REP012/REP014 are scoped to the threaded subsystems (``serve``,
 ``ingest``, ``supervisor`` module tags, plus any module that spawns
 its own roots); REP013 cycles and REP015 handlers are reported
-wherever they occur.  In a full ``repro lint`` run the engine builds
-one model over every library module so closures cross file boundaries
+wherever they occur, and so are REP012's container dispatches: the
+objects a shared object holds are shared too, whichever module
+defines them, and reachability from a multi root is the evidence.
+In a full ``repro lint`` run the engine builds one model over every
+library module so closures cross file boundaries
 (:mod:`repro.analysis.callgraph`); ``analyze_source`` fixtures get a
 single-module model through the normal rule hooks, same semantics.
 Policy: REP013 findings are never baselined -- a lock cycle is a
@@ -137,6 +143,8 @@ class _CallFacts:
     attr: str | None
     receiver_lock: str | None
     callees: tuple[str, ...]
+    #: Receiver is an element of a container held by ``self``.
+    dispatched: bool = False
 
 
 @dataclass
@@ -352,6 +360,7 @@ class ConcurrencyModel:
                 lock = self._lock_for_expr(node.value, module, cls, {})
                 if lock is not None:
                     local_aliases[node.targets[0].id] = lock
+        elements = _container_element_names(info.node)
         held: list[str] = []
 
         def record_call(node: ast.Call) -> None:
@@ -373,6 +382,8 @@ class ConcurrencyModel:
                     attr=attr,
                     receiver_lock=receiver_lock,
                     callees=tuple(sorted(self.graph.resolve_target(info, func))),
+                    dispatched=isinstance(func, ast.Attribute)
+                    and _is_container_element(func.value, elements),
                 )
             )
 
@@ -588,6 +599,43 @@ class ConcurrencyModel:
                                 f"thread-reachable path",
                             )
                         )
+        self._check_rep012_dispatch()
+
+    def _check_rep012_dispatch(self) -> None:
+        """Dispatches on elements of ``self`` containers that write them.
+
+        ``for layer in self.layers: layer.forward(x)`` on a multi-root
+        path runs the element's method on every request thread at once;
+        an attribute it writes on ``self`` (the element) is written by
+        all of them.  Reported at the dispatching call, naming the
+        writes, so a suppression there covers one audited call site.
+        """
+        for facts in self._facts.values():
+            if facts.info.qualname not in self.hot:
+                continue
+            for call in facts.calls:
+                if not call.dispatched or call.held:
+                    continue
+                writes = sorted(
+                    f"{self.graph.functions[callee].cls}.{write.attr}"
+                    for callee in call.callees
+                    if self.graph.functions[callee].name not in _CONSTRUCTOR_NAMES
+                    for write in self._facts[callee].writes
+                    if not write.held and _is_self_attribute(write.node)
+                )
+                if writes:
+                    self.findings.append(
+                        Finding(
+                            "REP012",
+                            facts.info.ctx,
+                            call.node,
+                            f"container-dispatched call "
+                            f"{call.dotted or call.attr!r} on a code path that "
+                            f"concurrent threads execute reaches unguarded "
+                            f"writes to {', '.join(dict.fromkeys(writes))}; "
+                            f"the elements of a shared container are shared",
+                        )
+                    )
 
     # ------------------------------------------------------------------
     # REP013: lock-order cycles
@@ -964,4 +1012,38 @@ class SignalHandlerSafetyRule(_ConcurrencyRule):
     summary = (
         "registered signal handler does more than set a flag/Event or "
         "os.write -- unsafe when it interrupts arbitrary bytecode"
+    )
+
+
+def _is_self_attribute(node: ast.AST) -> bool:
+    """``self.<name>``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _reads_self_attribute(node: ast.AST) -> bool:
+    """Whether ``node`` reads an attribute of ``self`` anywhere inside."""
+    return any(_is_self_attribute(inner) for inner in ast.walk(node))
+
+
+def _container_element_names(function: ast.AST) -> frozenset[str]:
+    """Loop variables iterating over a container held by ``self``."""
+    return frozenset(
+        node.target.id
+        for node in own_nodes(function)
+        if isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and _reads_self_attribute(node.iter)
+    )
+
+
+def _is_container_element(receiver: ast.AST, elements: frozenset[str]) -> bool:
+    """``layer`` from ``for layer in self.layers``, or ``self.layers[-1]``."""
+    if isinstance(receiver, ast.Name):
+        return receiver.id in elements
+    return isinstance(receiver, ast.Subscript) and _reads_self_attribute(
+        receiver.value
     )

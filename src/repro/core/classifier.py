@@ -112,19 +112,18 @@ class LeapmeClassifier:
         self._scaler = state.scaler
         return self
 
-    def _transform(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if self._scaler is not None:
-            features = self._scaler.transform(features)
-        return features
-
     def match_scores(self, features: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities -- the paper's similarity scores."""
+        """Positive-class probabilities -- the paper's similarity scores.
+
+        ``features`` may be the store's float32 rows: the network's
+        stateless inference path upcasts and scales them block by block,
+        so no full-height float64 copy is made.
+        """
         if self._network is None:
             raise NotFittedError("LeapmeClassifier is not fitted")
         if len(features) == 0:
             return np.zeros(0)
-        return self._network.predict_proba(self._transform(features))[:, 1]
+        return self._network.predict_proba(features, scaler=self._scaler)[:, 1]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Hard match decisions at the configured threshold."""

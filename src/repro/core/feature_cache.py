@@ -345,10 +345,6 @@ class PairFeatureStore:
         self._gather_cache_size = gather_cache_size
         self._gather_cache_bytes = gather_cache_bytes
         self._gather_bytes = 0
-        # Float64 shadow for the score phase (see scoring_features).
-        self._matrix64: np.ndarray | None = None
-        self._gather64_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
-        self._gather64_cache_size = 8
         # Serialises gather-cache bookkeeping so concurrent read-only
         # requests (serve-layer handler threads) can share one store.
         self._cache_lock = threading.Lock()
@@ -470,8 +466,6 @@ class PairFeatureStore:
         with self._cache_lock:
             self._gather_cache.clear()
             self._gather_bytes = 0
-            self._matrix64 = None
-            self._gather64_cache.clear()
         return new_pairs
 
     def with_source(self, addition: Dataset) -> tuple["PairFeatureStore", PairSet]:
@@ -555,50 +549,8 @@ class PairFeatureStore:
         columns = self.schema.active_columns(config)
         return self._gathered(rows)[:, columns]
 
-    def scoring_features(
-        self,
-        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
-        config: FeatureConfig,
-    ) -> np.ndarray:
-        """Float64 feature matrix for ``pairs``, ready for the classifier.
-
-        Bit-identical to the classifier's own upcast of
-        :meth:`features` (float32 to float64 is exact), but served from
-        a lazily built read-only float64 shadow of the full matrix, so
-        repeated score phases -- the grid scores the same test subset
-        under nine configs per repetition -- skip the per-call upcast
-        copy.  The shadow and its small gather cache are score-phase
-        state only; training keeps reading the float32 matrix.
-        """
-        if isinstance(pairs, PairSet):
-            pairs = pairs.pairs
-        if not pairs:
-            return np.zeros((0, self.schema.width(config)), dtype=np.float64)
-        if self.universe.is_blocked and not self._covers(pairs):
-            # Same out-of-universe fallback as :meth:`features`; float32
-            # to float64 is exact, so this matches the classifier's own
-            # upcast of the direct path bit for bit.
-            return np.asarray(
-                pair_feature_matrix(self.table, list(pairs), config),
-                dtype=np.float64,
-            )
-        with self._cache_lock:
-            if self._matrix64 is None:
-                matrix64 = np.asarray(self.matrix, dtype=np.float64)
-                matrix64.setflags(write=False)
-                self._matrix64 = matrix64
-            matrix64 = self._matrix64
-        rows = self.universe.rows_of(pairs)
-        key = rows.tobytes()
-        with self._cache_lock:
-            gathered = self._gather64_cache.get(key)
-            if gathered is not None:
-                self._gather64_cache.move_to_end(key)
-        if gathered is None:
-            gathered = matrix64[rows]
-            gathered.setflags(write=False)
-            with self._cache_lock:
-                self._gather64_cache[key] = gathered
-                while len(self._gather64_cache) > self._gather64_cache_size:
-                    self._gather64_cache.popitem(last=False)
-        return gathered[:, self.schema.active_columns(config)]
+    #: The score phase's gather: the same float32 rows as :meth:`features`
+    #: (the classifier upcasts them block by block, exactly), under its
+    #: own name so score-phase gathers can be told apart from training
+    #: ones when the store is traced.
+    scoring_features = features

@@ -44,11 +44,10 @@ the parent holds runs pair build + fit only and ships back a
 :class:`~repro.evaluation.runner._PendingScore` (the fitted classifier,
 pre-pickled) instead of scoring.  The parent resolves pendings in
 serial order after the pool drains (:class:`_ScoreResolver`), replaying
-the deterministic test split against its own store's float64 scoring
-shadow -- bit-identical features, so identical scores and journals.
-Scoring in the parent runs uncontended: workers scoring concurrently
-time-slice against each other and re-fault fresh feature upcasts per
-process, which is exactly the score-phase regression this removes.
+the deterministic test split against its own store's float32 rows --
+the same features the worker would have gathered, so identical scores
+and journals.  Scoring in the parent runs uncontended instead of
+time-slicing against sibling workers.
 
 Failure model: the pool is run by
 :class:`~repro.evaluation.supervisor.PoolSupervisor` -- a dead worker
@@ -584,9 +583,9 @@ class _ScoreResolver:
     parent finishes each one here, after the pool has drained, so the
     score phase runs uncontended instead of time-slicing against
     sibling workers.  The test split is replayed deterministically from
-    ``(seed, repetition)``, features come from the store's float64
-    scoring shadow (bit-identical to the worker's own upcast), so
-    scores, qualities and journals match the serial grid byte for byte.
+    ``(seed, repetition)``, features are the store's float32 rows (the
+    same gather the worker would make), so scores, qualities and
+    journals match the serial grid byte for byte.
 
     The resolver keeps direct references to the prebuilt universes and
     stores: resolution happens after ``_PREBUILT`` has been cleared.

@@ -31,10 +31,10 @@ class StandardScaler:
         """Apply the learned scaling."""
         if self.mean_ is None or self.scale_ is None:
             raise NotFittedError("StandardScaler is not fitted")
-        inputs = np.asarray(inputs, dtype=np.float64)
-        # Subtract into a fresh array, then divide in place: one output
-        # allocation instead of two (these matrices reach tens of MB).
-        scaled = np.subtract(inputs, self.mean_)
+        # Subtract straight into a fresh float64 array (float32 rows are
+        # upcast exactly inside the ufunc, without a separate copy), then
+        # divide in place: one allocation per call.
+        scaled = np.subtract(inputs, self.mean_, dtype=np.float64)
         scaled /= self.scale_
         return scaled
 

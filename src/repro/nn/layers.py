@@ -11,10 +11,17 @@ from repro.nn.initializers import get_initializer
 class Layer:
     """Base class for all layers.
 
-    Subclasses implement :meth:`forward` and :meth:`backward`; trainable
-    layers additionally expose aligned ``parameters()`` / ``gradients()``
-    lists that optimisers update in place.
+    Subclasses implement :meth:`infer`, :meth:`forward` and
+    :meth:`backward`; trainable layers additionally expose aligned
+    ``parameters()`` / ``gradients()`` lists that optimisers update in
+    place.  :meth:`infer` is the inference contract: it computes the
+    same output as ``forward(inputs, training=False)`` and writes no
+    attribute, so threads may share one fitted layer.
     """
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """Compute the inference output without touching layer state."""
+        raise NotImplementedError
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output, caching whatever backward needs."""
@@ -63,15 +70,22 @@ class Dense(Layer):
     def out_features(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.in_features:
             raise DimensionError(
                 f"Dense({self.in_features}->{self.out_features}) got input "
                 f"shape {inputs.shape}"
             )
+        outputs = inputs @ self.weights
+        outputs += self.bias
+        return outputs
+
+    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+        inputs = np.asarray(inputs, dtype=np.float64)
+        outputs = self.infer(inputs)
         self._inputs = inputs
-        return inputs @ self.weights + self.bias
+        return outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._inputs is None:
@@ -96,6 +110,9 @@ class Dropout(Layer):
         self.rate = rate
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._mask: np.ndarray | None = None
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        return inputs
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:

@@ -11,12 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, DimensionError, NotFittedError
 from repro.nn.guards import assert_finite, check_loss
 from repro.nn.layers import Layer
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.schedule import TrainingSchedule
+
+#: Rows per block in :meth:`Sequential.predict_proba`: the hidden layers'
+#: temporaries for one block stay cache-sized instead of scaling with
+#: the scored matrix.
+INFERENCE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -42,10 +47,14 @@ class Sequential:
         self._fitted = False
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run all layers; returns the raw logits."""
+        """Run all layers, caching what backward needs; returns the raw logits.
+
+        The training pass: it writes layer state, so it is not for
+        inference on a shared network (see :meth:`predict_proba`).
+        """
         outputs = np.asarray(inputs, dtype=np.float64)
         for layer in self.layers:
-            outputs = layer.forward(outputs, training=training)
+            outputs = layer.forward(outputs, training=training)  # repro: noqa[REP012] training only: fit runs it on a network no other thread holds yet
         return outputs
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -139,11 +148,48 @@ class Sequential:
         self._fitted = True
         return history
 
-    def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
-        """Class probabilities ``(n, classes)`` from the softmax head."""
+    def predict_proba(self, inputs: np.ndarray, scaler=None) -> np.ndarray:
+        """Class probabilities ``(n, classes)`` from the softmax head.
+
+        The stateless inference path: every layer runs its pure
+        :meth:`~repro.nn.layers.Layer.infer`, so threads may share one
+        fitted network.  ``inputs`` (float32 or float64) are walked in
+        blocks of :data:`INFERENCE_BLOCK_ROWS` rows; each block is
+        upcast, passed through ``scaler.transform`` when a scaler is
+        given, and through every hidden layer into one preallocated
+        buffer of last-hidden activations.  The final layer and the
+        softmax then run once over the full height: the BLAS result of
+        a narrow product can change bits with the row count, so only
+        the hidden layers are blocked, which keeps the output
+        bit-identical to scaling and forwarding the whole matrix at once.
+        """
         if not self._fitted:
             raise NotFittedError("network has not been trained; call fit() first")
-        return softmax(self.forward(np.asarray(inputs, dtype=np.float64)))
+        inputs = np.asarray(inputs)
+        if inputs.ndim != 2:
+            raise DimensionError(f"inputs must be 2-D, got shape {inputs.shape}")
+        rows = len(inputs)
+        bounds = _block_bounds(rows, INFERENCE_BLOCK_ROWS)
+        hidden = None
+        for start, stop in zip(bounds, bounds[1:]):
+            block = self._hidden_infer(inputs[start:stop], scaler)
+            if hidden is None:
+                if stop == rows:
+                    hidden = block
+                    break
+                hidden = np.empty((rows, block.shape[1]))
+            hidden[start:stop] = block
+        return softmax(self.layers[-1].infer(hidden))
+
+    def _hidden_infer(self, block: np.ndarray, scaler) -> np.ndarray:
+        """One block through the optional scaler and every hidden layer."""
+        if scaler is not None:
+            block = scaler.transform(block)
+        else:
+            block = np.asarray(block, dtype=np.float64)
+        for layer in self.layers[:-1]:
+            block = layer.infer(block)
+        return block
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Hard class predictions ``(n,)``."""
@@ -152,3 +198,18 @@ class Sequential:
     def num_parameters(self) -> int:
         """Total count of trainable scalars."""
         return sum(p.size for p in self.parameters())
+
+
+def _block_bounds(rows: int, step: int) -> list[int]:
+    """Row boundaries of the inference blocks: ``[0, step, 2*step, ..., rows]``.
+
+    A one-row tail joins the block before it: NumPy multiplies a
+    one-row matrix with a matrix-vector routine whose summation order
+    differs from the matrix-matrix one, so a lone last row would not be
+    bit-identical to the same row scored inside a taller matrix.  Zero
+    rows make one empty block, so the output still has its class width.
+    """
+    bounds = list(range(0, max(rows, 1), step)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds

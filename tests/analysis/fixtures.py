@@ -521,6 +521,63 @@ def start(stats):
         worker.start()
 """
 
+# A request handler reaches layer methods through a list held by a
+# shared network.  The call graph follows ``layer.forward`` to every
+# ``forward``; the one here caches its input on the layer, so concurrent
+# requests overwrite each other's state (and the layer keeps the last
+# request's matrix alive).
+REP012_BAD_DISPATCH = """\
+from http.server import BaseHTTPRequestHandler
+
+class Dense:
+    def __init__(self, weights):
+        self.weights = weights
+        self._inputs = None
+
+    def forward(self, inputs):
+        self._inputs = inputs
+        return inputs @ self.weights
+
+class Network:
+    def __init__(self, layers):
+        self.layers = list(layers)
+
+    def predict(self, inputs):
+        for layer in self.layers:
+            inputs = layer.forward(inputs)
+        return inputs
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        return self.server.network.predict(self.server.inputs)
+"""
+REP012_BAD_DISPATCH_LINE = 18
+
+# The same dispatch through a pure method: nothing is written.
+REP012_GOOD_DISPATCH = """\
+from http.server import BaseHTTPRequestHandler
+
+class Dense:
+    def __init__(self, weights):
+        self.weights = weights
+
+    def infer(self, inputs):
+        return inputs @ self.weights
+
+class Network:
+    def __init__(self, layers):
+        self.layers = list(layers)
+
+    def predict(self, inputs):
+        for layer in self.layers:
+            inputs = layer.infer(inputs)
+        return inputs
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        return self.server.network.predict(self.server.inputs)
+"""
+
 # Without a thread root the writes never race: same class, no Thread().
 REP012_GOOD_NO_ROOTS = """\
 import threading

@@ -280,6 +280,26 @@ class TestRep012Variants:
     def test_module_without_thread_roots_is_silent(self):
         assert violations_of(fixtures.REP012_GOOD_NO_ROOTS, "REP012") == []
 
+    def test_container_dispatch_reaching_a_write(self):
+        found = violations_of(fixtures.REP012_BAD_DISPATCH, "REP012")
+        assert [v.line for v in found] == [fixtures.REP012_BAD_DISPATCH_LINE]
+        assert "container-dispatched call 'layer.forward'" in found[0].message
+        assert "Dense._inputs" in found[0].message
+
+    def test_container_dispatch_through_a_subscript(self):
+        source = fixtures.REP012_BAD_DISPATCH.replace(
+            "        for layer in self.layers:\n"
+            "            inputs = layer.forward(inputs)\n"
+            "        return inputs\n",
+            "        return self.layers[-1].forward(inputs)\n",
+        )
+        assert source != fixtures.REP012_BAD_DISPATCH
+        found = violations_of(source, "REP012")
+        assert [v.line for v in found] == [fixtures.REP012_BAD_DISPATCH_LINE - 1]
+
+    def test_container_dispatch_to_a_pure_method_is_silent(self):
+        assert violations_of(fixtures.REP012_GOOD_DISPATCH, "REP012") == []
+
     def test_constructor_writes_are_exempt(self):
         # __init__ publishes the object before any thread can see it;
         # the unguarded self.total = 0 there must not fire.

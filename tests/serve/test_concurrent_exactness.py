@@ -1,13 +1,22 @@
-"""Exactness of shared counters under real thread contention.
+"""Exactness of shared state under real thread contention.
 
 These are the behavioural twins of the analyzer's REP012 findings: the
 breaker counter and the admission totals are incremented from handler
 threads, so their values must be *exact* -- a lost update here is the
-race the lock regions exist to prevent.
+race the lock regions exist to prevent.  Likewise a tenant's fitted
+network is shared by every request thread, so inference must leave its
+layers exactly as it found them.
 """
 
 import json
+import sys
 import threading
+
+import numpy as np
+
+from repro.core.classifier import LeapmeClassifier
+from repro.core.config import LeapmeConfig
+from repro.nn.schedule import TrainingSchedule
 
 from tests.serve.conftest import make_registry, make_spec, request
 from tests.serve.test_http import create_tenant
@@ -124,3 +133,63 @@ class TestStatzExactTotals:
         hammer(6, work)
         tenants = json.loads(request(service, "GET", "/statz")[2])["tenants"]
         assert tenants["t1"]["failures"] == 0
+
+
+def layer_attributes(network):
+    """A shallow snapshot of every layer's attributes."""
+    return [dict(vars(layer)) for layer in network.layers]
+
+
+def assert_layers_untouched(network, snapshot):
+    """No layer attribute was added, dropped or rebound."""
+    for layer, attributes in zip(network.layers, snapshot):
+        assert vars(layer).keys() == attributes.keys()
+        for name, value in attributes.items():
+            assert vars(layer)[name] is value, (type(layer).__name__, name)
+
+
+class TestSharedNetworkInference:
+    def test_threads_scoring_one_classifier_match_serial(self):
+        rng = np.random.default_rng(3)
+        features = rng.random((5000, 12), dtype=np.float32)
+        labels = (features[:, 0] > features[:, 1]).astype(np.int64)
+        classifier = LeapmeClassifier(
+            LeapmeConfig(schedule=TrainingSchedule.constant(2, 1e-3))
+        ).fit(features[:600], labels[:600])
+        network = classifier.fitted_state().network
+        serial = classifier.match_scores(features)
+        snapshot = layer_attributes(network)
+        results = [None] * 8
+
+        def work(index):
+            for _ in range(3):
+                results[index] = classifier.match_scores(features)
+
+        # Switch threads often, so the eight scorers interleave inside
+        # each other's blocks.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer(8, work)
+        finally:
+            sys.setswitchinterval(interval)
+        for scores in results:
+            assert np.array_equal(scores, serial)
+        assert_layers_untouched(network, snapshot)
+
+    def test_match_keeps_no_request_matrix_on_the_tenant(self, tmp_path):
+        registry = make_registry(tmp_path)
+        registry.create(make_spec(tmp_path, system="leapme"))
+        matcher = registry.get("t1").state.matcher
+        network = matcher.classifier.fitted_state().network
+        snapshot = layer_attributes(network)
+        bodies = [None] * 8
+
+        def work(index):
+            bodies[index] = registry.match_payload("t1")
+
+        hammer(8, work)
+        assert all(body == bodies[0] for body in bodies)
+        # The layers hold exactly what training left there: no request
+        # rebinds an attribute, so none keeps its matrix alive.
+        assert_layers_untouched(network, snapshot)
