@@ -52,7 +52,8 @@ serve-smoke:
 # HTTP service smoke: a real `repro serve --http` subprocess on a real
 # socket -- probes go ready, a tenant is created and matched over HTTP,
 # SIGTERM drains to exit 143, and a warm restart from the registry
-# journal serves byte-identical match bodies.
+# journal serves byte-identical match bodies; the median keep-alive
+# /predict round trip stays under half the 40 ms delayed-ACK quantum.
 serve-http-smoke:
 	PYTHONPATH=src python scripts/serve_http_smoke.py
 

@@ -6,7 +6,10 @@ end in a few seconds, as a real subprocess on a real socket:
 1. start the server on an ephemeral port and wait for /healthz, then
    /readyz, to answer 200;
 2. create a CSV-backed tenant over HTTP and round-trip /match twice,
-   asserting the two bodies are byte-identical;
+   asserting the two bodies are byte-identical, then time 50 sequential
+   /predict round trips on one keep-alive connection and assert their
+   median is under 20 ms -- half the 40 ms delayed-ACK quantum that a
+   reply split into separate head and body writes waits out;
 3. SIGTERM the server and assert a clean drain: exit code 128+SIGTERM;
 4. start a fresh server over the same registry journal and assert the
    warm-restarted /match body is byte-identical to the pre-kill one
@@ -22,6 +25,7 @@ import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -41,6 +45,11 @@ SOURCES = {
 }
 
 STARTUP_DEADLINE = 60.0
+
+#: Sequential keep-alive /predict round trips timed by the smoke.
+PREDICT_ROUND_TRIPS = 50
+#: Their median must stay under half the 40 ms delayed-ACK quantum.
+PREDICT_MEDIAN_LIMIT_S = 0.020
 
 
 def write_instances(path: Path) -> Path:
@@ -96,6 +105,27 @@ def request(host, port, method, path, body=None):
         connection.close()
 
 
+def predict_round_trips(host, port, tenant: str) -> list[float]:
+    """Seconds of each sequential /predict on one keep-alive connection."""
+    payload = json.dumps({"pairs": [["srcA", "weight", "srcB", "wt"]]}).encode()
+    headers = {"Content-Type": "application/json"}
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    seconds = []
+    try:
+        for _ in range(PREDICT_ROUND_TRIPS):
+            started = time.perf_counter()
+            connection.request(
+                "POST", f"/tenants/{tenant}/predict", body=payload, headers=headers
+            )
+            response = connection.getresponse()
+            body = response.read()
+            seconds.append(time.perf_counter() - started)
+            assert response.status == 200, (response.status, body)
+    finally:
+        connection.close()
+    return seconds
+
+
 def await_probe(host, port, path) -> None:
     deadline = time.monotonic() + STARTUP_DEADLINE
     while True:
@@ -147,11 +177,21 @@ def main() -> int:
             assert json.loads(first)["matches"], "no matches over threshold"
             status, second = request(host, port, "POST", "/tenants/smoke/match")
             assert (status, second) == (200, first), "match is not stable"
+            median = statistics.median(predict_round_trips(host, port, "smoke"))
+            assert median < PREDICT_MEDIAN_LIMIT_S, (
+                f"median keep-alive /predict round trip {median * 1e3:.1f} ms "
+                f">= {PREDICT_MEDIAN_LIMIT_S * 1e3:.0f} ms: replies are waiting "
+                "on delayed ACKs"
+            )
         except BaseException:
             proc.kill()
             proc.communicate()
             raise
         print("create + match round-trip OK")
+        print(
+            f"median of {PREDICT_ROUND_TRIPS} keep-alive /predict round trips: "
+            f"{median * 1e3:.2f} ms OK"
+        )
         terminate(proc)
         print(f"drained clean on SIGTERM (exit {128 + signal.SIGTERM})")
 

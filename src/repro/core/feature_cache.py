@@ -513,6 +513,8 @@ class PairFeatureStore:
         self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
     ) -> bool:
         """Whether every pair has a row in this store's universe."""
+        if pairs is self.universe.pairs:
+            return True
         lookup = self.universe._row_lookup
         for pair in pairs:
             left, right = (

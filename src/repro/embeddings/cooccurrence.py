@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.embeddings.vocab import Vocabulary
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - scipy is imported where it is used
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ def build_cooccurrence(
     """
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
+    from scipy import sparse
+
     materialized = [[token.lower() for token in sentence] for sentence in sentences]
     if vocabulary is None:
         vocabulary = Vocabulary.from_corpus(materialized)

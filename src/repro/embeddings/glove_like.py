@@ -11,13 +11,16 @@ non-synonyms far), not GloVe's specific loss.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from repro.embeddings.base import WordEmbeddings
 from repro.embeddings.cooccurrence import CooccurrenceCounts
 from repro.errors import ConfigurationError, DimensionError
+
+if TYPE_CHECKING:  # pragma: no cover - scipy is imported where it is used
+    from scipy import sparse
 
 
 def ppmi_matrix(counts: sparse.csr_matrix, shift: float = 0.0) -> sparse.csr_matrix:
@@ -29,6 +32,8 @@ def ppmi_matrix(counts: sparse.csr_matrix, shift: float = 0.0) -> sparse.csr_mat
     """
     if counts.shape[0] != counts.shape[1]:
         raise DimensionError(f"co-occurrence matrix must be square, got {counts.shape}")
+    from scipy import sparse
+
     coo = counts.tocoo()
     total = coo.data.sum()
     if total == 0:
@@ -90,6 +95,8 @@ def train_glove_like(
     if rank < 1 or matrix.nnz == 0:
         vectors = np.zeros((vocab_size, dimension))
         return WordEmbeddings(counts.vocabulary, vectors)
+    from scipy.sparse.linalg import svds
+
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(vocab_size)
     u, s, _ = svds(matrix.astype(np.float64), k=rank, v0=v0)

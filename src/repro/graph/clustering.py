@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import networkx as nx
-
 from repro.data.model import Dataset, PropertyRef
 from repro.errors import ConfigurationError
 from repro.metrics import MatchQuality
@@ -35,6 +33,8 @@ def cluster_connected_components(
     graph: SimilarityGraph, threshold: float = 0.5
 ) -> list[set[PropertyRef]]:
     """Each connected component of the match graph is one cluster."""
+    import networkx as nx
+
     nx_graph = graph.to_networkx(threshold)
     return [set(component) for component in nx.connected_components(nx_graph)]
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.data.model import PropertyRef
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where it is used
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class SimilarityGraph:
 
     def to_networkx(self, threshold: float = 0.0) -> nx.Graph:
         """Export edges with score >= threshold as a weighted nx.Graph."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.properties())
         for edge in self._edges.values():

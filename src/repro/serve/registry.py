@@ -34,8 +34,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from repro.blocking import CandidatePolicy
 from repro.core.matcher import LeapmeMatcher
 from repro.core.pipeline import flush_persistent_distances
 from repro.data.csvio import load_dataset_csv
-from repro.data.model import Dataset
+from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
 from repro.errors import (
     ConfigurationError,
@@ -167,6 +169,15 @@ class TenantState:
     matcher: object
     #: ``(file, fingerprint)`` of every reload applied, in order.
     sources: tuple[tuple[str, str], ...] = ()
+    #: ``(source, name) -> PropertyRef`` over ``dataset``: the ``/predict``
+    #: lookup, built once per snapshot (a reload builds a new one).
+    property_index: Mapping[tuple[str, str], PropertyRef] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        index = {(ref.source, ref.name): ref for ref in self.dataset.properties()}
+        object.__setattr__(self, "property_index", MappingProxyType(index))
 
 
 @dataclass
@@ -539,8 +550,10 @@ class TenantRegistry:
         matcher = state.matcher
         if isinstance(matcher, LeapmeMatcher) and matcher.store is not None:
             # The warm store's universe is element-identical to
-            # build_pairs and its gathers are cached.
-            pairs = list(matcher.store.universe.pairs)
+            # build_pairs and its gathers are cached.  Its own tuple, not
+            # a copy: rows_of caches row arrays by the identity of the
+            # pair sequence, so every /match after the first is a hit.
+            pairs = matcher.store.universe.pairs
         else:
             pairs = build_pairs(state.dataset).pairs
         threshold = _tenant_threshold(tenant)
@@ -581,9 +594,7 @@ class TenantRegistry:
         """
         tenant = self._require_live(tenant_id)
         state = tenant.state
-        refs = {
-            (ref.source, ref.name): ref for ref in state.dataset.properties()
-        }
+        refs = state.property_index
         pairs: list[LabeledPair] = []
         for row in raw_pairs:
             if not isinstance(row, (list, tuple)) or len(row) != 4:

@@ -71,6 +71,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout: a stalled client cannot pin a handler thread
     #: forever (REP011: every blocking read is bounded).
     timeout = 30.0
+    #: TCP_NODELAY on every accepted connection: a reply never waits for
+    #: the client to acknowledge an earlier segment (see ``_send_json``).
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Per-request stderr chatter is diagnostics the probes already
@@ -90,8 +93,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body in one write: end_headers() would
+        # send the head on its own, and a body sent after it can wait
+        # for the client's delayed ACK.  Same bytes as end_headers() +
+        # write(body), including the bare body of an HTTP/0.9 reply.
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            head = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        self.wfile.write(head + body)
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)

@@ -1,7 +1,9 @@
-"""The HTTP skin: probes, tenant lifecycle, overload, determinism."""
+"""The HTTP skin: probes, tenant lifecycle, overload, determinism, transport."""
 
 import json
+import socket
 import threading
+from http import HTTPStatus
 
 from repro.serve import (
     AdmissionQueue,
@@ -213,3 +215,102 @@ class TestConcurrentDeterminism:
         stats = service.admission.stats()
         assert stats["admitted"] == len(results) + 1
         assert stats["completed"] == len(results) + 1
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that keeps a copy of every write."""
+
+    def __init__(self, inner, writes: list) -> None:
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def record_transport(monkeypatch, service) -> tuple[list, list]:
+    """``(writes, nodelay)``: every reply write and each connection's TCP_NODELAY."""
+    writes: list[bytes] = []
+    nodelay: list[int] = []
+    handler_class = service._httpd.RequestHandlerClass
+    setup = handler_class.setup
+
+    def recording_setup(self):
+        setup(self)
+        nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        self.wfile = _RecordingWriter(self.wfile, writes)
+
+    monkeypatch.setattr(handler_class, "setup", recording_setup)
+    return writes, nodelay
+
+
+def reply_bytes(code: int, body: bytes, retry_after: int | None = None) -> bytes:
+    """What ``send_response_only`` + ``send_header`` + ``end_headers`` + body send."""
+    head = (
+        f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+    )
+    if retry_after is not None:
+        head += f"Retry-After: {retry_after}\r\n"
+    return (head + "\r\n").encode("latin-1") + body
+
+
+class TestTransport:
+    """Each reply leaves in one write on a TCP_NODELAY socket, bytes unchanged.
+
+    A head and body sent as two writes with Nagle on make the body wait
+    for the client's delayed ACK of the head; these tests pin the
+    mechanism, not a latency figure.
+    """
+
+    def test_accepted_connections_disable_nagle(self, monkeypatch, service):
+        _, nodelay = record_transport(monkeypatch, service)
+        assert request(service, "GET", "/healthz")[0] == 200
+        assert request(service, "GET", "/tenants")[0] == 200
+        assert len(nodelay) == 2
+        assert all(flag != 0 for flag in nodelay)
+
+    def test_reply_is_one_write_of_head_and_body(
+        self, monkeypatch, service, tmp_path
+    ):
+        create_tenant(service, tmp_path)
+        writes, _ = record_transport(monkeypatch, service)
+        for method, path, expected in (
+            ("GET", "/healthz", 200),
+            ("POST", "/tenants/t1/match", 200),
+            ("POST", "/tenants/t1/nope", 404),
+        ):
+            del writes[:]
+            status, _, body = request(service, method, path)
+            assert status == expected
+            assert writes == [reply_bytes(status, body)]
+
+    def test_shed_reply_is_one_write_with_retry_after(
+        self, monkeypatch, tmp_path
+    ):
+        registry = make_registry(tmp_path)
+        registry.create(make_spec(tmp_path))
+        admission = AdmissionQueue(
+            max_active=1, max_waiting=0, request_deadline=10.0
+        )
+        service = MatchingService(registry, admission)
+        writes, _ = record_transport(monkeypatch, service)
+        service.start()
+        try:
+            with admission.slot("t1"):
+                status, headers, body = request(
+                    service, "POST", "/tenants/t1/match"
+                )
+        finally:
+            service.stop()
+        assert status == 429
+        retry_after = admission.retry_after("t1")
+        assert headers["Retry-After"] == str(retry_after)
+        assert writes == [reply_bytes(429, body, retry_after)]

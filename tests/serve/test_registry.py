@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.data.model import PropertyRef
 from repro.errors import (
     ConfigurationError,
     DataError,
@@ -248,6 +250,47 @@ class TestPredict:
             registry.predict_payload("t1", [["srcA", "nope", "srcB", "wt"]])
         with pytest.raises(DataError):
             registry.predict_payload("t1", [["srcA", "weight"]])
+
+    def test_property_index_is_per_snapshot_and_read_only(self, tmp_path):
+        registry = make_registry(tmp_path)
+        registry.create(make_spec(tmp_path))
+        old_state = registry.get("t1").state
+        index = old_state.property_index
+        assert set(index) == {
+            (ref.source, ref.name) for ref in old_state.dataset.properties()
+        }
+        assert all(index[key] == PropertyRef(*key) for key in index)
+        with pytest.raises(TypeError):
+            index[("srcZ", "x")] = PropertyRef("srcZ", "x")
+        registry.add_source("t1", write_extra_source(tmp_path))
+        new_state = registry.get("t1").state
+        # Copy-on-swap: the reload built a new index; the old one is
+        # exactly what it was.
+        assert new_state.property_index is not index
+        assert ("srcC", "mass") in new_state.property_index
+        assert ("srcC", "mass") not in index
+        payload = registry.predict_payload(
+            "t1", [["srcA", "weight", "srcC", "mass"]]
+        )
+        assert len(payload["scores"]) == 1
+
+
+class TestMatchRowCache:
+    def test_repeated_match_reuses_the_universe_rows(self, tmp_path):
+        registry = make_registry(tmp_path)
+        registry.create(make_spec(tmp_path, system="leapme"))
+        state = registry.get("t1").state
+        universe = state.matcher.store.universe
+        first = match_body(registry, "t1")
+        cached = len(universe._rows_cache)
+        for _ in range(20):
+            assert match_body(registry, "t1") == first
+        assert len(universe._rows_cache) == cached
+        # Scoring the universe's own tuple equals scoring a copy of it.
+        assert np.array_equal(
+            state.matcher.score_pairs(state.dataset, universe.pairs),
+            state.matcher.score_pairs(state.dataset, list(universe.pairs)),
+        )
 
 
 class TestWarmRestart:
