@@ -30,7 +30,8 @@ Methodology notes:
   engine caches -- dominates each cell.  Larger fractions shift cell
   time into training, which both modes pay identically.
 
-Writes ``BENCH_grid.json``::
+Merges these keys into ``BENCH_grid.json``, keeping the other modes'
+sections::
 
     {"dataset": ..., "grid": {...},
      "serial":  {"wall_clock": ..., "phases": {...}},
@@ -242,15 +243,20 @@ def _measure_in_child(work, dataset, embeddings) -> dict:
     return json.loads(payload)
 
 
-def _merge_section(out: Path, key: str, section: dict) -> None:
-    """Merge ``section`` under ``key`` into the JSON file at ``out``."""
+def _merge_sections(out: Path, sections: dict) -> None:
+    """Merge the top-level keys of ``sections`` into the JSON file at ``out``.
+
+    Every mode writes through here, so the sections the other modes
+    wrote (``features``, ``kernel``, ``blocking``, the plain grid's
+    keys) survive each run.
+    """
     payload = {}
     if out.exists():
         try:
             payload = json.loads(out.read_text())
         except (OSError, ValueError):
             payload = {}
-    payload[key] = section
+    payload.update(sections)
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
 
 
@@ -298,7 +304,7 @@ def run_features_benchmark(args) -> int:
         "peak_memory_ratio": round(memory_ratio, 3),
     }
     out = Path(args.out)
-    _merge_section(out, "features", section)
+    _merge_sections(out, {"features": section})
     print(f"written: {out} (features section)")
     return 0
 
@@ -416,7 +422,7 @@ def run_blocking_benchmark(args) -> int:
         "speedup": round(speedup, 3),
     }
     out = Path(args.out)
-    _merge_section(out, "blocking", section)
+    _merge_sections(out, {"blocking": section})
     print(f"written: {out} (blocking section)")
     return 0
 
@@ -517,7 +523,7 @@ def run_kernel_benchmark(args) -> int:
         "bit_identical": True,
     }
     out = Path(args.out)
-    _merge_section(out, "kernel", section)
+    _merge_sections(out, {"kernel": section})
     print(f"written: {out} (kernel section)")
     return 0
 
@@ -655,7 +661,7 @@ def main(argv=None) -> int:
         "aggregates_identical": identical,
     }
     out = Path(args.out)
-    atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
+    _merge_sections(out, payload)
     print(f"written: {out}")
     return 0
 

@@ -39,8 +39,9 @@ REP014    blocking call while holding a lock: ``fsync``, ``sleep``,
           the *held* Condition is exempt -- ``wait`` releases it), and
           fsynced journal appends
 REP015    non-signal-safe work in a registered signal handler --
-          anything beyond flag/attribute assignment, ``Event.set()``
-          and ``os.write``
+          anything beyond flag/attribute assignment, ``is_set()`` and
+          ``os.write`` (``Event.set()`` takes the Event's lock, which
+          the interrupted frame may hold)
 ========  =============================================================
 
 REP012/REP014 are scoped to the threaded subsystems (``serve``,
@@ -781,8 +782,8 @@ class ConcurrencyModel:
                             stmt,
                             f"{type(stmt).__name__} statement in signal handler "
                             f"{info.name!r}; handlers interleave with any "
-                            f"bytecode -- restrict them to setting a flag, "
-                            f"Event.set(), or os.write()",
+                            f"bytecode -- restrict them to assigning a flag "
+                            f"or os.write()",
                         )
                     )
             for node in own_nodes(info.node):
@@ -797,8 +798,10 @@ class ConcurrencyModel:
                         ctx,
                         node,
                         f"call to {label}() in signal handler {info.name!r}; "
-                        f"only Event.set()/flag assignment/os.write() are safe "
-                        f"when the handler can interrupt arbitrary bytecode",
+                        f"only flag assignment/is_set()/os.write() are safe "
+                        f"when the handler can interrupt arbitrary bytecode "
+                        f"(Event.set() takes a lock the interrupted frame may "
+                        f"hold)",
                     )
                 )
 
@@ -817,11 +820,7 @@ class ConcurrencyModel:
         resolved = ctx.resolve_call_target(node.func)
         if resolved == "os.write":
             return True
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "set", "is_set"
-        ):
-            return True
-        return False
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "is_set"
 
     # ------------------------------------------------------------------
     # report
@@ -1010,7 +1009,7 @@ class SignalHandlerSafetyRule(_ConcurrencyRule):
     code = "REP015"
     name = "non-signal-safe-handler"
     summary = (
-        "registered signal handler does more than set a flag/Event or "
+        "registered signal handler does more than assign a flag or "
         "os.write -- unsafe when it interrupts arbitrary bytecode"
     )
 

@@ -60,12 +60,10 @@ from repro.evaluation import (
     evaluate_matcher,
     render_robustness_report,
 )
-from repro.evaluation.checkpoint import peek_journal_type
 from repro.ingest import FollowDaemon, IngestJournal, IngestPipeline
-from repro.ingest.journal import INGEST_JOURNAL_TYPE
 from repro.ioutils import atomic_open_text
+from repro.journal import peek_journal_type
 from repro.serve import (
-    REGISTRY_JOURNAL_TYPE,
     AdmissionQueue,
     MatchingService,
     RegistryJournal,
@@ -230,13 +228,11 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         raise ReproError(f"journal not found: {path}")
     # The header line names the journal flavour; dispatch on it so one
     # describe command serves run, ingestion and registry journals alike.
-    journal_type = peek_journal_type(path)
-    if journal_type == INGEST_JOURNAL_TYPE:
-        print(IngestJournal(path).describe())
-    elif journal_type == REGISTRY_JOURNAL_TYPE:
-        print(RegistryJournal(path).describe())
-    else:
-        print(RunJournal(path).describe())
+    flavours = {
+        journal.HEADER_TYPE: journal
+        for journal in (RunJournal, IngestJournal, RegistryJournal)
+    }
+    print(flavours.get(peek_journal_type(path), RunJournal)(path).describe())
     return 0
 
 

@@ -59,7 +59,7 @@ class TrainingDivergedError(NumericError):
 
 
 class JournalError(ReproError):
-    """A run journal file is unreadable or from an unsupported version."""
+    """A journal file is unreadable or from an unsupported version."""
 
 
 class TenantQuarantinedError(ReproError):

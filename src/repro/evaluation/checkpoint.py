@@ -8,27 +8,21 @@ repetitions so an interrupted grid resumes exactly where it left off.
 
 Format
 ------
-A journal is a JSONL file.  The first line is a header record::
-
-    {"type": "journal", "version": 1}
-
-Every subsequent line describes one repetition of one run cell::
+The header line is ``{"type": "journal", "version": 1}``; every later
+line describes one repetition of one run cell::
 
     {"type": "repetition", "key": "...", "repetition": 3,
      "status": "ok", "tp": 10, "fp": 1, "fn": 2,
      "degradation": null, "attempts": 1}
 
 ``status`` is ``ok`` (quality recorded), ``skipped`` (no usable training
-split) or ``failed`` (all retries exhausted; carries ``error_type`` and
+split; ``error_type`` is ``skip`` and ``error`` the reason) or
+``failed`` (all retries exhausted; carries ``error_type`` and
 ``error``).  ``key`` identifies the cell -- see :func:`run_key` -- so one
-journal file can serve a whole experiment grid.
-
-Durability: each record is a single fsynced ``O_APPEND`` write
-(:func:`repro.ioutils.fsync_append_line`).  A process killed mid-write
-can leave at most one torn *final* line, which the reader detects and
-drops; torn lines anywhere else mean real corruption and raise
-:class:`~repro.errors.JournalError`.  Re-running a repetition appends a
-fresh record; on read, the *last* record per (key, repetition) wins.
+journal file can serve a whole experiment grid.  Durability and
+torn-tail handling are :mod:`repro.journal`'s; re-running a repetition
+appends a fresh record, and on read the *last* record per (key,
+repetition) wins.
 """
 
 from __future__ import annotations
@@ -36,14 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.data.model import Dataset
 from repro.errors import JournalError
 from repro.evaluation.metrics import MatchQuality
-from repro.ioutils import fsync_append_line
-
-_JOURNAL_VERSION = 1
+from repro.journal import Journal
 
 #: ``type`` value of the header line every run journal starts with.
 JOURNAL_HEADER_TYPE = "journal"
@@ -60,72 +51,6 @@ STATUS_FAILED = "failed"
 REASON_WORKER_CRASH = "worker_crash"
 REASON_TIMEOUT = "timeout"
 QUARANTINE_REASONS = frozenset({REASON_WORKER_CRASH, REASON_TIMEOUT})
-
-
-def peek_journal_type(path: str | Path) -> str | None:
-    """The ``type`` of a journal file's header line, or ``None``.
-
-    Reads only the first line; used to dispatch a path to the journal
-    class that owns it (run journals vs. ingestion journals) without
-    parsing -- or validating -- the whole file.  Returns ``None`` for a
-    missing, empty, or torn-headed file.
-    """
-    path = Path(path)
-    if not path.exists():
-        return None
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(header, dict):
-        return None
-    kind = header.get("type")
-    return kind if isinstance(kind, str) else None
-
-
-def read_journal_records(
-    path: str | Path, *, header_type: str, version: int, kind: str
-) -> list[dict]:
-    """Body records of a JSONL journal, torn-tail tolerant.
-
-    The shared read side of the ``fsync_append_line`` machinery: a
-    process killed mid-append leaves at most one torn *final* line,
-    which is dropped; torn lines anywhere else mean real corruption and
-    raise :class:`~repro.errors.JournalError`, as do a wrong header
-    ``type`` or an unsupported ``version``.  A missing file reads as an
-    empty journal.  ``kind`` names the journal flavour in error
-    messages (``"a run journal"``, ``"an ingestion journal"``).
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    lines = path.read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records: list[dict] = []
-    for number, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines) - 1:
-                # Torn final line from a kill mid-append: recoverable.
-                continue
-            raise JournalError(
-                f"corrupt journal line {number + 1} in {path}"
-            ) from None
-        records.append(record)
-    if records:
-        header = records[0]
-        if header.get("type") != header_type:
-            raise JournalError(f"not {kind} (missing header): {path}")
-        if header.get("version") != version:
-            raise JournalError(
-                f"unsupported journal version {header.get('version')!r} "
-                f"in {path}"
-            )
-    return records[1:]
 
 
 def run_key(matcher_name: str, dataset: Dataset, settings) -> str:
@@ -212,107 +137,37 @@ class JournalEntry:
             raise JournalError(f"malformed journal record: {problem}") from None
 
 
-class RunJournal:
+class RunJournal(Journal):
     """Append-only JSONL journal of experiment repetitions.
 
-    One instance wraps one file path; the file is created (with its
-    header line) on the first append.  Reading never requires the file
-    to exist -- a missing journal is simply an empty one, so
     ``evaluate_matcher(..., journal=RunJournal(path))`` works identically
-    for fresh and resumed runs.
+    for fresh and resumed runs: a missing journal is an empty one.
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+    HEADER_TYPE = JOURNAL_HEADER_TYPE
+    RECORD_TYPE = "repetition"
+    EVENT = JournalEntry
+    KIND = "a run journal"
 
-    # -- writing -------------------------------------------------------------
-    def _ensure_header(self) -> None:
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            fsync_append_line(
-                self.path,
-                json.dumps(
-                    {"type": JOURNAL_HEADER_TYPE, "version": _JOURNAL_VERSION}
-                ),
-            )
+    #: Bound in this class's own ``__dict__``: ``perfbench/layers.py``
+    #: times the journal layer by wrapping ``RunJournal.append`` there.
+    append = Journal.append
 
-    def append(self, entry: JournalEntry) -> None:
-        """Durably record one repetition outcome (a single fsynced line)."""
-        self._ensure_header()
-        fsync_append_line(self.path, json.dumps(entry.to_record(), sort_keys=True))
+    def encode(self, event: JournalEntry) -> dict:
+        return event.to_record()
 
-    def record_quality(
-        self,
-        key: str,
-        repetition: int,
-        quality: MatchQuality,
-        degradation: str | None = None,
-        attempts: int = 1,
-    ) -> None:
-        """Record a completed repetition."""
-        self.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_OK,
-                quality=quality,
-                degradation=degradation,
-                attempts=attempts,
-            )
-        )
-
-    def record_skip(self, key: str, repetition: int, reason: str) -> None:
-        """Record a repetition skipped for data reasons (no positives)."""
-        self.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_SKIPPED,
-                error_type="skip",
-                error=reason,
-            )
-        )
-
-    def record_failure(
-        self, key: str, repetition: int, error: BaseException, attempts: int
-    ) -> None:
-        """Record a repetition that exhausted its retries."""
-        self.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_FAILED,
-                attempts=attempts,
-                error_type=type(error).__name__,
-                error=str(error),
-            )
-        )
-
-    # -- reading -------------------------------------------------------------
-    def _raw_records(self) -> list[dict]:
-        return read_journal_records(
-            self.path,
-            header_type=JOURNAL_HEADER_TYPE,
-            version=_JOURNAL_VERSION,
-            kind="a run journal",
-        )
+    def decode(self, record: dict) -> JournalEntry:
+        return JournalEntry.from_record(record)
 
     def entries(self, key: str) -> dict[int, JournalEntry]:
         """Latest entry per repetition for one run cell (empty if none)."""
-        latest: dict[int, JournalEntry] = {}
-        for record in self._raw_records():
-            if record.get("type") != "repetition" or record.get("key") != key:
-                continue
-            entry = JournalEntry.from_record(record)
-            latest[entry.repetition] = entry
-        return latest
+        return {
+            entry.repetition: entry for entry in self.events() if entry.key == key
+        }
 
     def keys(self) -> list[str]:
         """All run-cell keys present in the journal, in first-seen order."""
-        seen: dict[str, None] = {}
-        for record in self._raw_records():
-            if record.get("type") == "repetition" and "key" in record:
-                seen.setdefault(record["key"], None)
-        return list(seen)
+        return list(dict.fromkeys(entry.key for entry in self.events()))
 
     def describe(self) -> str:
         """Post-mortem summary: per-status counts and the last failure.
@@ -329,10 +184,7 @@ class RunJournal:
         # Latest entry per (key, repetition), with its journal position
         # so "last failure" means last *written* among still-failed ones.
         latest: dict[str, dict[int, tuple[int, JournalEntry]]] = {}
-        for position, record in enumerate(self._raw_records()):
-            if record.get("type") != "repetition" or "key" not in record:
-                continue
-            entry = JournalEntry.from_record(record)
+        for position, entry in enumerate(self.events()):
             latest.setdefault(entry.key, {})[entry.repetition] = (position, entry)
         lines = [f"journal {self.path}:"]
         for key, repetitions in latest.items():

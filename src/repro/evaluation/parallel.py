@@ -452,21 +452,12 @@ def run_grid_parallel(
                     _PREBUILT["universes"],
                     _PREBUILT["stores"],
                 )
-        stop = threading.Event()
-        received_signum: int | None = None
-
-        def _on_signal(signum, frame) -> None:
-            # Async-signal-safe: a plain nonlocal rebind (last signal
-            # wins) instead of a list append inside the handler.
-            nonlocal received_signum
-            received_signum = signum
-            stop.set()
-
+        stop = _SignalSlot()
         installed: dict[int, object] = {}
         if threading.current_thread() is threading.main_thread():
             for signum in (signal.SIGINT, signal.SIGTERM):
                 try:
-                    installed[signum] = signal.signal(signum, _on_signal)
+                    installed[signum] = signal.signal(signum, stop.on_signal)
                 except (ValueError, OSError):  # pragma: no cover
                     pass
 
@@ -543,7 +534,7 @@ def run_grid_parallel(
                 # signal for the caller's exit code.
                 drain.enable_resolution()
                 drain.advance(outcomes)
-                interrupted.signum = received_signum
+                interrupted.signum = stop.signum
                 raise
         finally:
             _PREBUILT.clear()  # repro: noqa[REP008] post-run cleanup: the pool is gone, no child can observe this
@@ -644,6 +635,23 @@ class _ScoreResolver:
                 attempts=pending.attempts,
                 timings=timings,
             )
+
+
+class _SignalSlot:
+    """The grid's stop flag: its signal handler only assigns ``signum``.
+
+    Not a ``threading.Event``: ``set()`` takes a non-reentrant lock that
+    a second signal, landing inside the first ``set()``, would wait on
+    forever.  The supervisor only polls :meth:`is_set`.
+    """
+
+    signum: int | None = None
+
+    def on_signal(self, signum, frame) -> None:
+        self.signum = signum
+
+    def is_set(self) -> bool:
+        return self.signum is not None
 
 
 class _SerialDrain:

@@ -554,28 +554,24 @@ def _apply_outcome(
 def _journal_outcome(
     journal: RunJournal, key: str, repetition: int, outcome: _Outcome
 ) -> None:
-    """Durably append one executed outcome (shared by serial + parallel)."""
-    if outcome.status == STATUS_OK:
-        journal.record_quality(
-            key,
-            repetition,
-            outcome.quality,
-            degradation=outcome.degradation,
-            attempts=outcome.attempts,
+    """Durably append one executed outcome (shared by serial + parallel).
+
+    A skip is journaled with one attempt and its reason as the error,
+    under ``error_type`` ``"skip"``.
+    """
+    if outcome.status == STATUS_SKIPPED:
+        entry = JournalEntry(
+            key, repetition, STATUS_SKIPPED,
+            error_type="skip", error=outcome.skip_reason or "",
         )
-    elif outcome.status == STATUS_SKIPPED:
-        journal.record_skip(key, repetition, outcome.skip_reason or "")
     else:
-        journal.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_FAILED,
-                attempts=outcome.attempts,
-                error_type=outcome.error_type,
-                error=outcome.error_message,
-            )
+        entry = JournalEntry(
+            key, repetition, outcome.status,
+            quality=outcome.quality, degradation=outcome.degradation,
+            attempts=outcome.attempts,
+            error_type=outcome.error_type, error=outcome.error_message,
         )
+    journal.append(entry)
 
 
 def _apply_journal_entry(result: ExperimentResult, entry: JournalEntry) -> None:

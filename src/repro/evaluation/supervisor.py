@@ -31,7 +31,7 @@ grid runner and the executor and supplies the missing model:
   remaining items through the caller's serial fallback in the parent
   process, so a broken multiprocessing environment degrades to the
   serial path instead of failing the run.
-* **Signal-safe shutdown** -- a ``stop`` event (set by the caller's
+* **Signal-safe shutdown** -- a ``stop`` flag (set by the caller's
   SIGINT/SIGTERM handler) halts dispatch, harvests futures that are
   already complete within a short grace window, reaps the workers and
   raises :class:`~repro.errors.GridInterrupted`.  The caller drains the
@@ -162,8 +162,10 @@ class PoolSupervisor:
     window:
         Maximum items in flight (usually the worker count).
     stop:
-        Optional ``threading.Event``; once set, the supervisor shuts
-        down cleanly and raises :class:`GridInterrupted`.
+        Optional flag with an ``is_set()`` method (a
+        ``threading.Event``, or the grid's signal slot); once set, the
+        supervisor shuts down cleanly and raises
+        :class:`GridInterrupted`.
     poll_started:
         Optional zero-argument callable returning the items whose
         execution a worker has *actually begun* since the last call

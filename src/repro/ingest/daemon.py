@@ -15,7 +15,8 @@ supervised loop:
   quarantined with a structured reason and *never stall the loop*:
   retry readiness is a per-file deadline on the monotonic clock
   (REP003), checked each poll, not a sleep;
-* SIGINT/SIGTERM set a stop event; the in-flight batch is drained and
+* SIGINT/SIGTERM only record the signal; the loop sees it at its next
+  check and sets the stop event, the in-flight batch is drained and
   journaled, then :class:`~repro.errors.IngestInterrupted` propagates
   so the CLI exits ``128 + signum`` with a ``--resume`` hint;
 * ``resume=True`` replays the journal's fused records -- in fusion
@@ -25,8 +26,8 @@ supervised loop:
 
 The loop itself obeys the invariants the REP010 lint rule enforces on
 watch/ingest modules: no ``time.sleep`` (the pause is
-``stop_event.wait(poll_interval)``, interruptible by signals) and no
-unconditional spin (every iteration checks the stop event and the
+``stop_event.wait(poll_interval)``, so a stop is seen within one poll
+interval) and no unconditional spin (every iteration checks the stop event and the
 optional batch/idle bounds).
 """
 
@@ -52,8 +53,14 @@ from repro.ingest.journal import (
     REASON_DUPLICATE,
     REASON_POISON,
     REASON_RETRIES_EXHAUSTED,
+    STATUS_ADMITTED,
+    STATUS_DISCOVERED,
+    STATUS_FEATURIZED,
+    STATUS_FUSED,
     STATUS_QUARANTINED,
+    STATUS_RETRYING,
     IngestJournal,
+    SourceEvent,
 )
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.watcher import (
@@ -61,6 +68,7 @@ from repro.ingest.watcher import (
     alignment_sidecar,
     source_fingerprint,
 )
+from repro.journal import error_fields
 
 
 @dataclass
@@ -209,21 +217,13 @@ class FollowDaemon:
         """
         replayed = self.resume() if resume else 0
         installed: dict[int, object] = {}
-
-        def _on_signal(signum: int, frame) -> None:
-            # Async-signal-safe: last signal wins (the interrupt report
-            # names the most recent one), written as a plain slot
-            # assignment -- no container mutation inside a handler.
-            self._received_signal = signum
-            self.stop_event.set()
-
         if (
             install_signal_handlers
             and threading.current_thread() is threading.main_thread()
         ):
             for signum in (signal.SIGINT, signal.SIGTERM):
                 try:
-                    installed[signum] = signal.signal(signum, _on_signal)
+                    installed[signum] = signal.signal(signum, self._on_signal)
                 except (ValueError, OSError):  # pragma: no cover - exotic host
                     pass
         fused = quarantined = polls = idle = 0
@@ -239,20 +239,24 @@ class FollowDaemon:
                     if key in self._seen:
                         continue
                     self._seen.add(key)
-                    self.journal.record_discovered(file, fingerprint)
+                    self.journal.append(
+                        SourceEvent(file, fingerprint, STATUS_DISCOVERED)
+                    )
                 for file, fingerprint in result.admitted:
                     key = (file, fingerprint)
                     if key in self._done:
                         continue
                     progressed = True
                     self._seen.add(key)
-                    self.journal.record_admitted(file, fingerprint)
+                    self.journal.append(
+                        SourceEvent(file, fingerprint, STATUS_ADMITTED)
+                    )
                     self._maybe_fault("admitted")
                     self._pending[file] = _PendingSource(
                         fingerprint=fingerprint, ready_at=self.clock()
                     )
                 for file in sorted(self._pending):
-                    if self.stop_event.is_set():
+                    if self._stopping():
                         break
                     entry = self._pending.get(file)
                     if entry is None or entry.ready_at > self.clock():
@@ -295,13 +299,24 @@ class FollowDaemon:
             "polls": polls,
         }
 
+    def _on_signal(self, signum: int, frame) -> None:
+        # Async-signal-safe: one slot write, last signal wins.  Not
+        # stop_event.set(): the interrupted stop_event.wait() may hold
+        # the Event's non-reentrant lock.  The loop sets the event.
+        self._received_signal = signum
+
+    def _stopping(self) -> bool:
+        """Whether to stop; a received signal sets the stop event here."""
+        if self._received_signal is not None:
+            self.stop_event.set()
+        return self.stop_event.is_set()
+
     def _check_stop(self) -> None:
-        if not self.stop_event.is_set():
+        if not self._stopping():
             return
-        signum = self._received_signal
         raise IngestInterrupted(
             "follow loop stopped; every fused batch is journaled",
-            signum=signum,
+            signum=self._received_signal,
         )
 
     def _maybe_fault(self, stage: str) -> None:
@@ -333,18 +348,20 @@ class FollowDaemon:
             batch = self.pipeline.featurize(
                 path, alignment_sidecar(path), entry.fingerprint
             )
-            self.journal.record_featurized(
-                file, entry.fingerprint, batch.properties, len(batch.pairs)
+            self.journal.append(
+                SourceEvent(
+                    file, entry.fingerprint, STATUS_FEATURIZED,
+                    properties=batch.properties, pairs=len(batch.pairs),
+                )
             )
             self._maybe_fault("featurized")
             counts = self.pipeline.fuse(batch)
-            self.journal.record_fused(
-                file,
-                entry.fingerprint,
-                order=counts["order"],
-                properties=batch.properties,
-                pairs=len(batch.pairs),
-                matches=counts["matches"],
+            self.journal.append(
+                SourceEvent(
+                    file, entry.fingerprint, STATUS_FUSED,
+                    order=counts["order"], properties=batch.properties,
+                    pairs=len(batch.pairs), matches=counts["matches"],
+                )
             )
             self._maybe_fault("fused")
         except (TransientDataError, OSError) as error:
@@ -373,7 +390,12 @@ class FollowDaemon:
         entry.attempts = attempt
         if attempt >= self.retry_policy.max_attempts:
             return self._quarantine(file, entry, reason, error, attempt)
-        self.journal.record_retry(file, entry.fingerprint, attempt, error)
+        self.journal.append(
+            SourceEvent(
+                file, entry.fingerprint, STATUS_RETRYING,
+                attempt=attempt, **error_fields(error),
+            )
+        )
         entry.ready_at = self.clock() + self.retry_policy.delay(
             attempt, seed=self.seed, repetition=_file_repetition(file)
         )
@@ -387,8 +409,11 @@ class FollowDaemon:
         error: Exception,
         attempts: int,
     ) -> str:
-        self.journal.record_quarantined(
-            file, entry.fingerprint, reason, error, attempts
+        self.journal.append(
+            SourceEvent(
+                file, entry.fingerprint, STATUS_QUARANTINED,
+                reason=reason, attempt=attempts, **error_fields(error),
+            )
         )
         del self._pending[file]
         self._done.add((file, entry.fingerprint))

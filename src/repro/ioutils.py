@@ -118,40 +118,47 @@ def atomic_save(path: str | Path, writer: Callable[[Path], None], suffix: str = 
         _fsync_file(temp)
 
 
-def fsync_append_line(path: str | Path, line: str, encoding: str = "utf-8") -> None:
+def fsync_append_line(
+    path: str | Path, line: str, encoding: str = "utf-8", *, header: str | None = None
+) -> None:
     """Append one newline-terminated line and fsync it to disk.
 
     ``O_APPEND`` writes of a single small line are effectively atomic on
     POSIX filesystems; a kill between the write and the fsync can at
     worst leave one torn *final* line, which journal readers detect and
-    ignore (see :mod:`repro.evaluation.checkpoint`).  Before appending,
-    any torn tail left by a previous kill is truncated away — otherwise
-    the new record would merge into the torn line and corrupt both.
+    ignore (see :mod:`repro.journal`).  Before appending, any torn tail
+    left by a previous kill is truncated away — otherwise the new
+    record would merge into the torn line and corrupt both.
+
+    ``header`` is written first, in the same write, whenever the file
+    is empty *after* that truncation -- so a torn header is repaired too.
     """
     if not line.endswith("\n"):
         line += "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a+b") as handle:
-        _truncate_torn_tail(handle)
+        if _truncate_torn_tail(handle) == 0 and header is not None:
+            line = header + "\n" + line
         handle.write(line.encode(encoding))
         handle.flush()
         os.fsync(handle.fileno())
 
 
-def _truncate_torn_tail(handle) -> None:
+def _truncate_torn_tail(handle) -> int:
     """Drop an unterminated final line from an append-mode binary handle.
 
-    A torn tail is, by construction, data that was never acknowledged as
-    durably written (its fsync did not complete), so removing it loses
-    nothing a reader could have trusted.
+    Returns the file's size afterwards.  A torn tail is, by
+    construction, data that was never acknowledged as durably written
+    (its fsync did not complete), so removing it loses nothing a reader
+    could have trusted.
     """
     size = handle.seek(0, os.SEEK_END)
     if size == 0:
-        return
+        return 0
     handle.seek(size - 1)
     if handle.read(1) == b"\n":
-        return
+        return size
     position = size
     keep = 0
     while position > 0:
@@ -164,3 +171,4 @@ def _truncate_torn_tail(handle) -> None:
             break
         position -= step
     handle.truncate(keep)
+    return keep

@@ -344,12 +344,12 @@ class MatchingService:
 
     # -- CLI foreground loop -------------------------------------------------
     def _handle_signal(self, signum, frame) -> None:
-        # Async-signal-safe: a single first-wins slot plus an Event.  The
-        # exit code reports the signal that *initiated* the drain, and a
-        # list append here could run mid-allocation of unrelated code.
+        # Async-signal-safe: a single first-wins slot.  The exit code
+        # reports the signal that *initiated* the drain.  Not
+        # stop_event.set(): the interrupted stop_event.wait() may hold
+        # the Event's non-reentrant lock.  The loop below sets it.
         if self._received_signal is None:
             self._received_signal = signum
-        self.stop_event.set()
 
     def serve_until_signalled(self) -> None:
         """Run until SIGINT/SIGTERM, drain, raise :class:`GridInterrupted`.
@@ -364,9 +364,9 @@ class MatchingService:
         }
         try:
             self.start()
-            while not self.stop_event.is_set():
+            while self._received_signal is None and not self.stop_event.is_set():
                 self.stop_event.wait(_WAIT_SLICE)
-            drained = self.stop()
+            drained = self.stop()  # sets stop_event
             signum = self._received_signal
             raise GridInterrupted(
                 "matching service stopped by signal"

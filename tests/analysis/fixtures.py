@@ -773,13 +773,28 @@ class Service:
 """
 REP015_BAD_METHOD_LINE = 8
 
-REP015_GOOD = """\
+# ``Event.set()`` takes the Event's non-reentrant lock; a handler that
+# interrupts ``stop_event.wait()`` on the same thread (which holds that
+# lock) blocks forever.
+REP015_BAD_EVENT_SET = """\
 import signal
 
 def install(stop_event, slot):
     def _on_signal(signum, frame):
         slot.value = signum
         stop_event.set()
+
+    signal.signal(signal.SIGTERM, _on_signal)
+"""
+REP015_BAD_EVENT_SET_LINE = 6
+
+REP015_GOOD = """\
+import signal
+
+def install(stop_event, slot):
+    def _on_signal(signum, frame):
+        if not stop_event.is_set():
+            slot.value = signum
 
     signal.signal(signal.SIGTERM, _on_signal)
 """

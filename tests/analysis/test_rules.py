@@ -357,6 +357,10 @@ class TestRep015Variants:
     def test_os_write_is_signal_safe(self):
         assert violations_of(fixtures.REP015_GOOD_OS_WRITE, "REP015") == []
 
+    def test_event_set_is_not_signal_safe(self):
+        found = violations_of(fixtures.REP015_BAD_EVENT_SET, "REP015")
+        assert [v.line for v in found] == [fixtures.REP015_BAD_EVENT_SET_LINE]
+
 
 class TestRep016Variants:
     def test_triangle_over_bound_property_sweep(self):

@@ -5,15 +5,20 @@ import json
 import pytest
 
 from repro.errors import DataError, JournalError
-from repro.evaluation.checkpoint import RunJournal, peek_journal_type
+from repro.evaluation.checkpoint import STATUS_SKIPPED, JournalEntry, RunJournal
 from repro.ingest import (
     REASON_POISON,
+    STATUS_ADMITTED,
+    STATUS_DISCOVERED,
+    STATUS_FEATURIZED,
     STATUS_FUSED,
     STATUS_QUARANTINED,
+    STATUS_RETRYING,
     IngestJournal,
     SourceEvent,
 )
 from repro.ingest.journal import INGEST_JOURNAL_TYPE
+from repro.journal import error_fields, peek_journal_type
 
 
 @pytest.fixture()
@@ -23,39 +28,58 @@ def journal(tmp_path):
 
 class TestLifecycleRecords:
     def test_header_written_once(self, journal):
-        journal.record_discovered("a.csv", "f1")
-        journal.record_admitted("a.csv", "f1")
+        journal.append(SourceEvent("a.csv", "f1", STATUS_DISCOVERED))
+        journal.append(SourceEvent("a.csv", "f1", STATUS_ADMITTED))
         lines = journal.path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header == {"type": INGEST_JOURNAL_TYPE, "version": 1}
         assert len(lines) == 3
 
     def test_latest_record_wins(self, journal):
-        journal.record_discovered("a.csv", "f1")
-        journal.record_admitted("a.csv", "f1")
-        journal.record_featurized("a.csv", "f1", properties=3, pairs=6)
-        journal.record_fused(
-            "a.csv", "f1", order=1, properties=3, pairs=6, matches=2
+        journal.append(SourceEvent("a.csv", "f1", STATUS_DISCOVERED))
+        journal.append(SourceEvent("a.csv", "f1", STATUS_ADMITTED))
+        journal.append(
+            SourceEvent("a.csv", "f1", STATUS_FEATURIZED, properties=3, pairs=6)
+        )
+        journal.append(
+            SourceEvent(
+                "a.csv", "f1", STATUS_FUSED, order=1, properties=3, pairs=6, matches=2
+            )
         )
         latest = journal.latest()
         assert latest[("a.csv", "f1")].status == STATUS_FUSED
         assert latest[("a.csv", "f1")].matches == 2
 
     def test_same_file_new_fingerprint_is_a_new_source(self, journal):
-        journal.record_fused("a.csv", "f1", order=1, properties=1, pairs=0, matches=0)
-        journal.record_discovered("a.csv", "f2")
+        journal.append(
+            SourceEvent(
+                "a.csv", "f1", STATUS_FUSED, order=1, properties=1, pairs=0, matches=0
+            )
+        )
+        journal.append(SourceEvent("a.csv", "f2", STATUS_DISCOVERED))
         assert set(journal.latest()) == {("a.csv", "f1"), ("a.csv", "f2")}
 
     def test_fused_in_order_sorts_by_fusion_order(self, journal):
-        journal.record_fused("b.csv", "f2", order=2, properties=1, pairs=1, matches=0)
-        journal.record_fused("a.csv", "f1", order=1, properties=1, pairs=0, matches=0)
+        journal.append(
+            SourceEvent(
+                "b.csv", "f2", STATUS_FUSED, order=2, properties=1, pairs=1, matches=0
+            )
+        )
+        journal.append(
+            SourceEvent(
+                "a.csv", "f1", STATUS_FUSED, order=1, properties=1, pairs=0, matches=0
+            )
+        )
         assert [event.file for event in journal.fused_in_order()] == [
             "a.csv", "b.csv",
         ]
 
     def test_quarantine_carries_structured_reason(self, journal):
-        journal.record_quarantined(
-            "bad.csv", "f9", REASON_POISON, DataError("missing columns"), 3
+        journal.append(
+            SourceEvent(
+                "bad.csv", "f9", STATUS_QUARANTINED, reason=REASON_POISON, attempt=3,
+                **error_fields(DataError("missing columns")),
+            )
         )
         event = journal.quarantined()[("bad.csv", "f9")]
         assert event.status == STATUS_QUARANTINED
@@ -66,17 +90,17 @@ class TestLifecycleRecords:
 
 class TestCrashSafety:
     def test_torn_final_line_is_dropped(self, journal):
-        journal.record_admitted("a.csv", "f1")
-        journal.record_admitted("b.csv", "f2")
+        journal.append(SourceEvent("a.csv", "f1", STATUS_ADMITTED))
+        journal.append(SourceEvent("b.csv", "f2", STATUS_ADMITTED))
         with journal.path.open("a") as handle:
             handle.write('{"type": "source", "file": "c.csv", "finge')
         assert [event.file for event in journal.events()] == ["a.csv", "b.csv"]
 
     def test_torn_middle_line_raises(self, journal):
-        journal.record_admitted("a.csv", "f1")
+        journal.append(SourceEvent("a.csv", "f1", STATUS_ADMITTED))
         with journal.path.open("a") as handle:
             handle.write('{"torn\n')
-        journal.record_admitted("b.csv", "f2")
+        journal.append(SourceEvent("b.csv", "f2", STATUS_ADMITTED))
         with pytest.raises(JournalError, match="corrupt journal line"):
             journal.events()
 
@@ -87,13 +111,15 @@ class TestCrashSafety:
 
     def test_run_journal_is_rejected_with_flavour_message(self, tmp_path):
         run = RunJournal(tmp_path / "run.jsonl")
-        run.record_skip("cell", 0, "no positives")
+        run.append(
+            JournalEntry("cell", 0, STATUS_SKIPPED, error_type="skip", error="no positives")
+        )
         with pytest.raises(JournalError, match="not an ingestion journal"):
             IngestJournal(run.path).events()
 
     def test_malformed_record_raises(self, journal):
-        journal._ensure_header()
         with journal.path.open("a") as handle:
+            handle.write('{"type": "ingest-journal", "version": 1}\n')
             handle.write('{"type": "source", "file": "a.csv"}\n')
         with pytest.raises(JournalError, match="malformed ingestion-journal"):
             journal.events()
@@ -101,9 +127,11 @@ class TestCrashSafety:
 
 class TestPeekJournalType:
     def test_distinguishes_flavours(self, tmp_path, journal):
-        journal.record_admitted("a.csv", "f1")
+        journal.append(SourceEvent("a.csv", "f1", STATUS_ADMITTED))
         run = RunJournal(tmp_path / "run.jsonl")
-        run.record_skip("cell", 0, "nothing")
+        run.append(
+            JournalEntry("cell", 0, STATUS_SKIPPED, error_type="skip", error="nothing")
+        )
         assert peek_journal_type(journal.path) == INGEST_JOURNAL_TYPE
         assert peek_journal_type(run.path) == "journal"
         assert peek_journal_type(tmp_path / "absent") is None
@@ -116,10 +144,21 @@ class TestPeekJournalType:
 
 class TestDescribe:
     def test_summarises_status_failure_and_reasons(self, journal):
-        journal.record_fused("a.csv", "f1", order=1, properties=2, pairs=0, matches=0)
-        journal.record_retry("b.csv", "f2", 1, OSError("disk hiccup"))
-        journal.record_quarantined(
-            "c.csv", "f3", REASON_POISON, DataError("bad header"), 2
+        journal.append(
+            SourceEvent(
+                "a.csv", "f1", STATUS_FUSED, order=1, properties=2, pairs=0, matches=0
+            )
+        )
+        journal.append(
+            SourceEvent(
+                "b.csv", "f2", STATUS_RETRYING, attempt=1, **error_fields(OSError("disk hiccup"))
+            )
+        )
+        journal.append(
+            SourceEvent(
+                "c.csv", "f3", STATUS_QUARANTINED, reason=REASON_POISON, attempt=2,
+                **error_fields(DataError("bad header")),
+            )
         )
         text = journal.describe()
         assert "a.csv (f1): status=fused, order=1" in text
@@ -128,8 +167,16 @@ class TestDescribe:
         assert "quarantined: c.csv: poison-source (DataError: bad header)" in text
 
     def test_recovered_failures_are_history(self, journal):
-        journal.record_retry("a.csv", "f1", 1, OSError("flaky"))
-        journal.record_fused("a.csv", "f1", order=1, properties=1, pairs=0, matches=0)
+        journal.append(
+            SourceEvent(
+                "a.csv", "f1", STATUS_RETRYING, attempt=1, **error_fields(OSError("flaky"))
+            )
+        )
+        journal.append(
+            SourceEvent(
+                "a.csv", "f1", STATUS_FUSED, order=1, properties=1, pairs=0, matches=0
+            )
+        )
         assert "last failure" not in journal.describe()
 
     def test_empty_journal(self, journal):
@@ -137,12 +184,12 @@ class TestDescribe:
 
 
 class TestSourceEventRoundtrip:
-    def test_roundtrip(self):
+    def test_roundtrip(self, journal):
         event = SourceEvent(
             "a.csv", "f1", STATUS_FUSED, order=3, properties=5, pairs=9, matches=2
         )
-        assert SourceEvent.from_record(event.to_record()) == event
+        assert journal.decode(journal.encode(event)) == event
 
-    def test_omits_absent_fields(self):
-        record = SourceEvent("a.csv", "f1", "admitted").to_record()
+    def test_omits_absent_fields(self, journal):
+        record = journal.encode(SourceEvent("a.csv", "f1", "admitted"))
         assert set(record) == {"type", "file", "fingerprint", "status"}
